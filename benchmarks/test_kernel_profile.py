@@ -24,15 +24,20 @@ Run with::
 import json
 from pathlib import Path
 
-from repro.benchlib.kernelprof import kernel_profile_document, run_kernel_workload
+from repro.benchlib.kernelprof import (
+    DEFAULT_NODES,
+    DEFAULT_REPS,
+    kernel_profile_document,
+    run_kernel_workload,
+)
 from repro.obs import prof as _prof
 
 _ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = _ROOT / "BENCH_kernel_profile.json"
 SPEEDSCOPE_PATH = _ROOT / "kernel_profile.speedscope.json"
 
-NODES = 8
-REPS = 2
+NODES = DEFAULT_NODES
+REPS = DEFAULT_REPS
 SEED = 0
 
 

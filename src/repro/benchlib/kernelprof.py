@@ -26,6 +26,8 @@ from repro.obs import prof as _prof
 
 __all__ = [
     "DEFAULT_COLLECTIVES",
+    "DEFAULT_NODES",
+    "DEFAULT_REPS",
     "DEFAULT_SIZES",
     "kernel_profile_document",
     "run_kernel_workload",
@@ -43,11 +45,17 @@ DEFAULT_COLLECTIVES: tuple[tuple[str, str], ...] = (
 #: Per-block message sizes (bytes), one per decade the figures sweep.
 DEFAULT_SIZES: tuple[int, ...] = (1024, 16384, 131072)
 
+#: Cluster size and repetitions: ~122k events, long enough (>= 0.5 s on a
+#: 2-core host) that the events/sec gate measures the kernel, not timer
+#: noise.
+DEFAULT_NODES = 16
+DEFAULT_REPS = 40
+
 
 def run_kernel_workload(
-    nodes: int = 8,
+    nodes: int = DEFAULT_NODES,
     sizes: Sequence[int] = DEFAULT_SIZES,
-    reps: int = 2,
+    reps: int = DEFAULT_REPS,
     seed: int = 0,
     collectives: Sequence[tuple[str, str]] = DEFAULT_COLLECTIVES,
 ) -> dict[str, Any]:
@@ -86,9 +94,9 @@ def run_kernel_workload(
 
 
 def kernel_profile_document(
-    nodes: int = 8,
+    nodes: int = DEFAULT_NODES,
     sizes: Sequence[int] = DEFAULT_SIZES,
-    reps: int = 2,
+    reps: int = DEFAULT_REPS,
     seed: int = 0,
     top_frames: Optional[int] = 30,
 ) -> tuple[dict[str, Any], _prof.Profiler]:

@@ -46,6 +46,7 @@ import sys
 from typing import Optional
 
 from repro import api
+from repro.benchlib import kernelprof
 from repro.cluster import (
     ClusterSpec,
     FaultInjector,
@@ -1477,12 +1478,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="kernel: the canned collective workload; "
                                  "service: an in-process server under a "
                                  "canned client load")
-    p_obs_prof.add_argument("--nodes", type=int, default=8,
+    p_obs_prof.add_argument("--nodes", type=int, default=kernelprof.DEFAULT_NODES,
                             help="simulated cluster size for the workload")
     p_obs_prof.add_argument("--sizes", default=None,
                             help="comma-separated per-block sizes in bytes "
                                  "(default 1024,16384,131072)")
-    p_obs_prof.add_argument("--reps", type=int, default=2,
+    p_obs_prof.add_argument("--reps", type=int, default=kernelprof.DEFAULT_REPS,
                             help="workload repetitions (kernel target)")
     p_obs_prof.add_argument("--requests", type=int, default=32,
                             help="predict calls to drive (service target)")

@@ -33,7 +33,8 @@ from repro.cluster.params import GroundTruth, synthesize_ground_truth
 from repro.cluster.profiles import LAM_7_1_3, MpiProfile
 from repro.cluster.spec import ClusterSpec
 from repro.obs import runtime as _obs
-from repro.simlib import Event, Resource, Simulator
+from repro.simlib import Event, Resource, Simulator, Store
+from repro.simlib.kernel import Timeout
 from repro.simlib.trace import Tracer
 
 __all__ = ["SimulatedCluster", "TransportStats"]
@@ -157,6 +158,23 @@ class SimulatedCluster:
 
     # -- lifecycle ----------------------------------------------------------
     @property
+    def ground_truth(self) -> GroundTruth:
+        """The hardware's LMO parameters (assigning it swaps the hardware)."""
+        return self._ground_truth
+
+    @ground_truth.setter
+    def ground_truth(self, ground_truth: GroundTruth) -> None:
+        # The transport reads Python-float copies (indexing numpy arrays
+        # per stage costs more than the arithmetic).  Every assignment —
+        # degrade_node, degrade_link, attach_topology, a caller — rebuilds
+        # them; editing the arrays in place would not be seen.
+        self._ground_truth = ground_truth
+        self._C = ground_truth.C.tolist()
+        self._t = ground_truth.t.tolist()
+        self._L = ground_truth.L.tolist()
+        self._beta = ground_truth.beta.tolist()
+
+    @property
     def n(self) -> int:
         """Number of nodes."""
         return self.spec.n
@@ -221,11 +239,6 @@ class SimulatedCluster:
         """
         self.tracer = tracer
 
-    def trace(self, lane: str, start: float, end: float, label: str = "") -> None:
-        """Record one activity interval if a tracer is attached."""
-        if self.tracer is not None:
-            self.tracer.record(lane, start, end, label)
-
     # -- noisy durations -------------------------------------------------------
     def noisy(self, duration: float) -> float:
         """Apply the cluster noise model to an activity duration."""
@@ -234,21 +247,21 @@ class SimulatedCluster:
     # -- effective (fault-aware) hardware parameters -------------------------
     def processing_cost(self, node: int, nbytes: float) -> float:
         """CPU cost ``C + M t`` of ``node``, after any active slowdown."""
-        cost = self.ground_truth.send_cost(node, nbytes)
+        cost = self._C[node] + nbytes * self._t[node]
         if self.injector is not None:
             cost *= self.injector.cpu_factor(node)
         return cost
 
     def effective_latency(self, src: int, dst: int) -> float:
         """Link latency ``L_ij``, after any active link degradation."""
-        latency = self.ground_truth.L[src, dst]
+        latency = self._L[src][dst]
         if self.injector is not None:
             latency *= self.injector.link_factors(src, dst)[0]
         return latency
 
     def effective_rate(self, src: int, dst: int) -> float:
         """Link rate ``beta_ij``, after any active link degradation."""
-        rate = self.ground_truth.beta[src, dst]
+        rate = self._beta[src][dst]
         if self.injector is not None:
             rate *= self.injector.link_factors(src, dst)[1]
         return rate
@@ -261,6 +274,8 @@ class SimulatedCluster:
         nbytes: int,
         rendezvous_ready: Optional[Event] = None,
         on_sent: Optional[Event] = None,
+        mailbox: Optional[Store] = None,
+        envelope: object = None,
     ) -> Generator:
         """Move ``nbytes`` from ``src`` to ``dst`` through the switch.
 
@@ -282,67 +297,74 @@ class SimulatedCluster:
         2. switch latency ``L_src,dst``, then the destination port is held
            for the occupancy ``nbytes / beta_src,dst``; incast escalations
            (TCP RTO) may delay entering the port.
+
+        When ``mailbox`` is given, ``envelope`` is put into it as the last
+        step, before the generator returns — so a receive waiting on the
+        mailbox is woken ahead of anything waiting on this transfer —
+        and the generator returns ``envelope``.  Noise is drawn in the
+        order of the stages above; an absent fault injector, uplink,
+        tracer or telemetry costs one ``is None`` test each.
         """
         if src == dst:
             raise ValueError("transmit requires distinct src and dst")
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
-        prof, sim = self.profile, self.sim
-        self.stats.messages += 1
-        self.stats.bytes_sent += nbytes
+        prof, sim, stats = self.profile, self.sim, self.stats
+        injector, tracer = self.injector, self.tracer
+        perturb, rng = self.noise.perturb, self.rng
+        stats.messages += 1
+        stats.bytes_sent += nbytes
 
-        if self.injector is not None:
+        if injector is not None:
             # A hung endpoint stalls the transfer before it starts.
-            stall = self.injector.hang_stall(src, dst)
+            stall = injector.hang_stall(src, dst)
             if stall > 0:
-                yield sim.timeout(stall)
+                yield Timeout(sim, stall)
 
         # -- stage 1: sender CPU -----------------------------------------
-        usage = self.cpu[src].request()
+        cpu = self.cpu[src]
+        usage = cpu.request()
         yield usage
-        cpu_start = sim.now
+        cpu_start = sim._now
         try:
-            if prof.uses_rendezvous(nbytes):
-                self.stats.rendezvous_handshakes += 1
+            if nbytes > prof.eager_threshold:
+                stats.rendezvous_handshakes += 1
                 # Request-to-send / clear-to-send round trip over the link.
-                yield sim.timeout(self.noisy(2.0 * self.effective_latency(src, dst)))
+                yield Timeout(sim, perturb(2.0 * self.effective_latency(src, dst), rng))
                 if rendezvous_ready is not None and not rendezvous_ready.processed:
                     yield rendezvous_ready
             cpu_cost = self.processing_cost(src, nbytes) + prof.sender_protocol_overhead(nbytes)
-            yield sim.timeout(self.noisy(cpu_cost))
+            yield Timeout(sim, perturb(cpu_cost, rng))
         finally:
-            self.cpu[src].release(usage)
-            self.trace(f"cpu{src}", cpu_start, sim.now, "s")
+            cpu.release(usage)
+            if tracer is not None:
+                tracer.record(f"cpu{src}", cpu_start, sim._now, "s")
         if on_sent is not None:
             # A blocking MPI send returns here: the buffer has been handed
             # to the transport and the sender CPU is free again.
-            on_sent.succeed(sim.now)
+            on_sent.succeed(sim._now)
 
         # -- stage 2: switch + destination port ---------------------------
-        yield sim.timeout(self.noisy(self.effective_latency(src, dst)))
-        if (
-            self.uplink is not None
-            and self.topology is not None
-            and not self.topology.same_switch(src, dst)
-        ):
+        yield Timeout(sim, perturb(self.effective_latency(src, dst), rng))
+        uplink, topology = self.uplink, self.topology
+        if uplink is not None and topology is not None and not topology.same_switch(src, dst):
             # Cross-switch flows share the inter-switch uplink.
-            uplink_start = sim.now
-            yield from self.uplink.hold(
-                sim, self.noisy(nbytes / self.topology.uplink_rate)
-            )
-            self.trace("uplink", uplink_start, sim.now, "u")
+            uplink_start = sim._now
+            yield from uplink.hold(sim, perturb(nbytes / topology.uplink_rate, rng))
+            if tracer is not None:
+                tracer.record("uplink", uplink_start, sim._now, "u")
         port_state = self._ports[dst]
         incast_delay = self._sample_escalation(port_state, src, nbytes)
         loss_delay = 0.0
-        if self.injector is not None:
+        if injector is not None:
             # Packet loss on a flaky link costs a retransmission timeout
             # on this transfer — escalations on *arbitrary* traffic, not
             # just gather incast.  A hang that started mid-flight stalls
             # the transfer here, before it enters the destination port.
-            loss_delay = self.injector.loss_delay(src, dst)
-            stall = self.injector.hang_stall(dst)
+            loss_delay = injector.loss_delay(src, dst)
+            stall = injector.hang_stall(dst)
             if stall > 0:
-                yield sim.timeout(stall)
+                yield Timeout(sim, stall)
         escalation = incast_delay + loss_delay
         tel = _obs.ACTIVE
         if tel is not None:
@@ -362,8 +384,8 @@ class SimulatedCluster:
         port_state.enqueue(src, float(nbytes))
         try:
             if escalation > 0.0:
-                self.stats.escalations += 1
-                self.stats.escalation_time += escalation
+                stats.escalations += 1
+                stats.escalation_time += escalation
                 if tel is not None:
                     for cause, delay in (("incast", incast_delay), ("loss", loss_delay)):
                         if delay > 0.0:
@@ -379,23 +401,29 @@ class SimulatedCluster:
                             ).observe(delay)
                             tel.events.warning(
                                 "rto_escalation", cause=cause, src=src, dst=dst,
-                                nbytes=nbytes, delay=delay, sim_time=sim.now,
+                                nbytes=nbytes, delay=delay, sim_time=sim._now,
                             )
-                rto_start = sim.now
-                yield sim.timeout(escalation)
-                self.trace(f"port{dst}", rto_start, sim.now, "R")
-            usage = self.port[dst].request()
-            if not usage.triggered:
-                self.stats.port_waits += 1
+                rto_start = sim._now
+                yield Timeout(sim, escalation)
+                if tracer is not None:
+                    tracer.record(f"port{dst}", rto_start, sim._now, "R")
+            port = self.port[dst]
+            usage = port.request()
+            if not usage._triggered:
+                stats.port_waits += 1
             yield usage
-            wire_start = sim.now
+            wire_start = sim._now
             try:
-                yield sim.timeout(self.noisy(nbytes / self.effective_rate(src, dst)))
+                yield Timeout(sim, perturb(nbytes / self.effective_rate(src, dst), rng))
             finally:
-                self.port[dst].release(usage)
-                self.trace(f"port{dst}", wire_start, sim.now, "w")
+                port.release(usage)
+                if tracer is not None:
+                    tracer.record(f"port{dst}", wire_start, sim._now, "w")
         finally:
             port_state.dequeue(src, float(nbytes))
+        if mailbox is not None:
+            mailbox.put(envelope)
+        return envelope
 
     def _sample_escalation(self, port_state: _PortState, src: int, nbytes: int) -> float:
         """Incast RTO delay for a flow about to enter a port (0.0 = none).

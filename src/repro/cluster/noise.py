@@ -49,12 +49,13 @@ class NoiseModel:
         """A noisy version of ``duration`` (never negative)."""
         if duration < 0:
             raise ValueError(f"negative duration {duration!r}")
-        if not self.enabled:
-            return duration
         value = duration
         if self.rel_sigma > 0:
-            # Lognormal with unit median: exp(N(0, sigma)).
-            value *= float(np.exp(rng.normal(0.0, self.rel_sigma)))
+            # Lognormal with unit median: exp(N(0, sigma)).  NumPy's
+            # rng.normal(0, sigma) is 0 + sigma * standard_normal(): the
+            # same draw and the same value, minus the argument handling.
+            # np.exp stays: math.exp need not round identically.
+            value *= float(np.exp(self.rel_sigma * rng.standard_normal()))
         if self.spike_prob > 0 and rng.random() < self.spike_prob:
             value += float(rng.exponential(self.spike_mean))
         return value

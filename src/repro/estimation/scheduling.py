@@ -77,19 +77,26 @@ def triplet_rounds(n: int) -> list[list[tuple[int, int, int]]]:
 
 
 def pack_rounds(items: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """First-fit packing of node tuples into rounds with disjoint nodes."""
+    """First-fit packing of node tuples into rounds with disjoint nodes.
+
+    Each node keeps a bitmask of the rounds it already sits in; the first
+    round free for every node of an item is the lowest clear bit of the
+    OR of their masks (one past the last round when all are taken).
+    """
     rounds: list[list[tuple[int, ...]]] = []
-    occupied: list[set[int]] = []
+    busy: dict[int, int] = {}
     for item in items:
-        nodes = set(item)
-        for round_idx, used in enumerate(occupied):
-            if not (used & nodes):
-                rounds[round_idx].append(item)
-                used |= nodes
-                break
-        else:
+        taken = 0
+        for node in item:
+            taken |= busy.get(node, 0)
+        free = ~taken & (taken + 1)  # lowest clear bit
+        round_idx = free.bit_length() - 1
+        if round_idx == len(rounds):
             rounds.append([item])
-            occupied.append(set(nodes))
+        else:
+            rounds[round_idx].append(item)
+        for node in item:
+            busy[node] = busy.get(node, 0) | free
     return rounds
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from repro.cluster.machine import SimulatedCluster
 from repro.mpi.requests import Request
 from repro.simlib import Event, Store
+from repro.simlib.kernel import Timeout
 
 __all__ = ["Envelope", "GroupComm", "MessageLayer", "RankComm", "payload_nbytes"]
 
@@ -54,7 +55,7 @@ def payload_nbytes(payload: Any) -> int:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One message in flight (metadata plus optional payload)."""
 
@@ -121,27 +122,24 @@ class MessageLayer:
     def start_send(
         self, src: int, dst: int, nbytes: int, tag: int, payload: Any
     ) -> Request:
-        """Launch the transport pipeline for one message.
+        """Launch the transport for one message.
 
         Returns a request whose ``sent`` event fires at local completion
-        and whose ``done`` event fires at remote delivery.
+        and whose ``done`` event fires at remote delivery: the transfer
+        process itself, which puts the envelope into the destination
+        mailbox before it finishes and returns it.
         """
         cluster = self.cluster
-        sim = cluster.sim
         self._seq += 1
         env = Envelope(src, dst, tag, nbytes, self._seq, payload)
-        sent = Event(sim)
+        sent = Event(cluster.sim)
         gate = None
         if cluster.profile.uses_rendezvous(nbytes):
             gate = self.rendezvous_gate(dst, src, tag)
-
-        def pipeline() -> Generator:
-            yield from cluster.transmit(src, dst, nbytes, rendezvous_ready=gate, on_sent=sent)
-            self.mailboxes[dst].put(env)
-            return env
-
-        proc = sim.spawn(pipeline(), name=f"msg{env.seq}:{src}->{dst}")
-        return Request(kind="send", sent=sent, done=proc, envelope=env)
+        transfer = cluster.sim.spawn(
+            cluster.transmit(src, dst, nbytes, gate, sent, self.mailboxes[dst], env)
+        )
+        return Request("send", sent, transfer, env)
 
     def start_recv(self, dst: int, src: int, tag: int) -> Request:
         """Post a receive; its ``done`` event fires with the envelope.
@@ -162,7 +160,7 @@ class MessageLayer:
             )
 
         get = self.mailboxes[dst].get(matches)
-        return Request(kind="recv", sent=get, done=get)
+        return Request("recv", get, get)
 
 
 class RankComm:
@@ -178,6 +176,9 @@ class RankComm:
             raise ValueError(f"rank {rank} out of range for size {layer.size}")
         self.layer = layer
         self.rank = rank
+        #: The cluster node this handle runs on (receive processing is
+        #: charged to its CPU).
+        self._physical = rank
 
     @property
     def size(self) -> int:
@@ -235,24 +236,28 @@ class RankComm:
         """
         env = yield req.done
         if req.kind == "recv":
+            node = self._physical
             cluster = self.layer.cluster
-            cost = cluster.noisy(cluster.processing_cost(self.rank, env.nbytes))
-            usage = cluster.cpu[self.rank].request()
+            cost = cluster.noisy(cluster.processing_cost(node, env.nbytes))
+            cpu = cluster.cpu[node]
+            usage = cpu.request()
             yield usage
-            start = cluster.sim.now
+            sim = cluster.sim
+            start = sim._now
             try:
-                yield cluster.sim.timeout(cost)
+                yield Timeout(sim, cost)
             finally:
-                cluster.cpu[self.rank].release(usage)
-                cluster.trace(f"cpu{self.rank}", start, cluster.sim.now, "r")
+                cpu.release(usage)
+                if cluster.tracer is not None:
+                    cluster.tracer.record(f"cpu{node}", start, sim._now, "r")
         return env
 
     def recv(self, source: int, tag: int = 0) -> Generator:
         """Blocking receive: completes after receive processing; returns
-        the envelope."""
-        req = self.irecv(source, tag)
-        env = yield from self.wait(req)
-        return env
+        the envelope.  The receive is posted when this is called — that
+        is, at the ``yield from`` — and the returned generator is
+        :meth:`wait`'s."""
+        return self.wait(self.irecv(source, tag))
 
     # -- convenience used by experiments ---------------------------------------
     def sendrecv(
@@ -279,8 +284,8 @@ class GroupComm(RankComm):
     :class:`RankComm` run on the subset unchanged, because ``rank``/
     ``size`` are group-relative and destinations are translated to
     physical nodes at the send/receive boundary.  The receive-processing
-    CPU accounting in :meth:`RankComm.wait` keys off the *physical* rank,
-    which :attr:`rank` here is not — hence the override below.
+    CPU accounting in :meth:`RankComm.wait` keys off the *physical* node,
+    which :attr:`rank` here is not.
     """
 
     def __init__(self, layer: MessageLayer, members: list[int], member: int):
@@ -293,7 +298,6 @@ class GroupComm(RankComm):
             raise ValueError(f"node {member} is not in the group {members}")
         super().__init__(layer, member)
         self.members = list(members)
-        self._physical = member
         self._group_rank = members.index(member)
 
     # -- group-relative identity -------------------------------------------
@@ -339,18 +343,3 @@ class GroupComm(RankComm):
             raise ValueError("self-receives are not supported")
         physical_src = ANY_SOURCE if source == ANY_SOURCE else self.translate(source)
         return self.layer.start_recv(self._physical, physical_src, tag)
-
-    def wait(self, req: Request) -> Generator:
-        env = yield req.done
-        if req.kind == "recv":
-            cluster = self.layer.cluster
-            cost = cluster.noisy(cluster.processing_cost(self._physical, env.nbytes))
-            usage = cluster.cpu[self._physical].request()
-            yield usage
-            start = cluster.sim.now
-            try:
-                yield cluster.sim.timeout(cost)
-            finally:
-                cluster.cpu[self._physical].release(usage)
-                cluster.trace(f"cpu{self._physical}", start, cluster.sim.now, "r")
-        return env

@@ -10,7 +10,7 @@ from repro.simlib import Event
 __all__ = ["Request"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """Handle of an in-flight point-to-point operation.
 

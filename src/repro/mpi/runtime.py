@@ -16,6 +16,7 @@ from repro.mpi.comm import MessageLayer, RankComm
 from repro.mpi.collectives import get_algorithm
 from repro.obs import prof as _prof
 from repro.obs import runtime as _obs
+from repro.simlib import Event
 
 __all__ = [
     "CollectiveRun",
@@ -91,16 +92,11 @@ def run_ranks(
         cluster.reset()
     layer = MessageLayer(cluster)
     results: dict[int, RankResult] = {}
-
-    def wrap(rank: int, factory: Callable[[RankComm], Generator]) -> Generator:
-        value = yield from factory(layer.rank_comm(rank))
-        results[rank] = RankResult(rank, cluster.sim.now, value)
-        return value
-
     for rank, factory in sorted(programs.items()):
         if not (0 <= rank < cluster.n):
             raise ValueError(f"rank {rank} out of range for {cluster.n}-node cluster")
-        cluster.sim.spawn(wrap(rank, factory), name=f"rank{rank}")
+        process = cluster.sim.spawn(factory(layer.rank_comm(rank)))
+        process.callbacks.append(_recorder(results, rank))
     # Attach the active deterministic profiler (if any) for this run —
     # the kernel itself never imports repro.obs, it just honors the
     # duck-typed ``profiler`` attribute.
@@ -118,6 +114,19 @@ def run_ranks(
             "(check sources, destinations and tags)"
         )
     return results
+
+
+def _recorder(results: dict[int, RankResult], rank: int) -> Callable[[Event], None]:
+    """Completion callback of one rank's process: records its finish time
+    and return value, or re-raises the exception the program died of (the
+    run stops there, and ``run_ranks`` raises it unchanged)."""
+
+    def record(process: Event) -> None:
+        if process._exc is not None:
+            raise process._exc
+        results[rank] = RankResult(rank, process.sim.now, process._value)
+
+    return record
 
 
 def run_collective(

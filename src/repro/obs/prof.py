@@ -21,9 +21,12 @@ Three layers:
   attribute load and an ``is None`` branch per event, covered by the
   ``BENCH_obs.json`` overhead gate).  When attached, every popped event
   is timed under a frame named for its event type and — for process
-  resumptions — the process it resumes: ``Timeout``,
-  ``Event→proc:recv@3``, ...  That is the per-event-type / per-handler
-  attribution the kernel-optimization work needs.
+  resumptions — the *code* of the generator it resumes, not the process
+  instance: ``Timeout→proc:SimulatedCluster.transmit``,
+  ``ResourceUsage→proc:RankComm.wait``, ``Process`` (a finished process
+  firing its waiters), ...  Every message's transfer shares one frame, so
+  a profile aggregates per handler however many messages a workload
+  sends.
 * exports — :meth:`Profiler.collapsed` (Brendan-Gregg collapsed-stack
   lines, ``flamegraph.pl``-ready) and :meth:`Profiler.speedscope`
   (a https://speedscope.app document), plus :meth:`Profiler.to_dict`
@@ -150,16 +153,17 @@ class Profiler:
     # -- the kernel hook ------------------------------------------------------
     # Called by Simulator.step() around event._fire(); the frame name
     # attributes time to the event type and, for process resumptions, the
-    # process being resumed (the *handler*).
+    # generator code being resumed (the *handler*).
     def event_begin(self, event: Any) -> None:
         self.events_recorded += 1
         name = type(event).__name__
         callbacks = event.callbacks
         if callbacks:
             owner = getattr(callbacks[0], "__self__", None)
-            pname = getattr(owner, "name", None)
-            if pname:
-                name = f"{name}→proc:{pname}"
+            generator = getattr(owner, "_generator", None)
+            if generator is not None:
+                handler = getattr(generator, "__qualname__", type(generator).__name__)
+                name = f"{name}→proc:{handler}"
         self.begin(name)
 
     def event_end(self) -> None:

@@ -124,11 +124,38 @@ class ChaosStats:
         return f"ChaosStats({self.snapshot()})"
 
 
+def _close(sock: socket.socket) -> None:
+    """Close a socket so the peer sees FIN now.
+
+    A bare ``close()`` is not enough: the sibling pump thread may be
+    blocked in ``recv`` on this socket, and the kernel keeps the socket
+    open (no FIN sent) until that call returns.  ``shutdown`` acts on the
+    socket itself: it sends the FIN and wakes the blocked reader.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 def _hard_reset(sock: socket.socket) -> None:
-    """Close a socket so the peer sees RST, not a graceful FIN."""
+    """Close a socket so the peer sees RST, not a graceful FIN.
+
+    Linger-0 turns the close into a RST; ``shutdown(SHUT_RD)`` first wakes
+    a pump blocked in ``recv`` on the socket (see :func:`_close`) without
+    sending a FIN, so the close that follows really resets the peer.
+    """
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                         struct.pack("ii", 1, 0))
+    except OSError:
+        pass
+    try:
+        sock.shutdown(socket.SHUT_RD)
     except OSError:
         pass
     try:
@@ -177,14 +204,8 @@ class _Connection:
         if reset:
             _hard_reset(self.client)
         else:
-            try:
-                self.client.close()
-            except OSError:
-                pass
-        try:
-            self.upstream.close()
-        except OSError:
-            pass
+            _close(self.client)
+        _close(self.upstream)
 
 
 class ChaosProxy:

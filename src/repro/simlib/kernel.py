@@ -14,11 +14,18 @@ domain stress avoiding needless object churn in inner loops):
   :class:`Interrupt` into it).
 * There is no global state: any number of :class:`Simulator` instances can
   coexist (the test-suite relies on this).
+* Hot path: a simulated message costs about a dozen events.
+  :class:`Timeout`, process bootstraps and resumptions push their heap
+  entries directly instead of via :meth:`Event.succeed`, and
+  :meth:`Simulator.run` fires events in its own loop.  The entries and
+  their order are exactly those of the general-purpose methods
+  (``tests/cluster/test_golden_trace.py`` pins the stream bit for bit).
 """
 
 from __future__ import annotations
 
 import heapq
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -63,10 +70,11 @@ class Event:
     ----------
     callbacks:
         List of callables invoked with the event when it fires.  ``None``
-        after the event has been processed (guards against double fire).
+        after the event has been processed (guards against double fire),
+        so it doubles as the processed flag.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_exc", "_triggered", "_processed")
+    __slots__ = ("sim", "callbacks", "_value", "_exc", "_triggered")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -74,7 +82,6 @@ class Event:
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._triggered = False
-        self._processed = False
 
     # -- state ----------------------------------------------------------
     @property
@@ -85,7 +92,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once callbacks have run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -123,13 +130,13 @@ class Event:
     # -- internals ------------------------------------------------------
     def _fire(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         if callbacks:
             for cb in callbacks:
                 cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
+        state = ("processed" if self.callbacks is None
+                 else "triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
@@ -141,10 +148,13 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self._triggered = True
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay, NORMAL)
+        self._exc = None
+        self._triggered = True
+        heappush(sim._queue, (sim._now + delay, NORMAL, sim._seq, self))
+        sim._seq += 1
 
 
 class Process(Event):
@@ -160,12 +170,16 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         self._generator = generator
+        #: The event this process last waited on (only interrupts read it;
+        #: a stale, already-processed event has ``callbacks`` None).
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Bootstrap: resume once the sim starts processing events.
         init = Event(sim)
         init.callbacks.append(self._resume)
-        init.succeed(priority=URGENT)
+        init._triggered = True
+        heappush(sim._queue, (sim._now, URGENT, sim._seq, init))
+        sim._seq += 1
 
     @property
     def is_alive(self) -> bool:
@@ -195,24 +209,24 @@ class Process(Event):
             except ValueError:  # pragma: no cover - already detached
                 pass
         self._waiting_on = None
-        self._step(throw=Interrupt(evt._value))
+        carrier = Event(self.sim)  # never scheduled: only carries the throw
+        carrier._exc = Interrupt(evt._value)
+        self._resume(carrier)
 
     def _resume(self, evt: Event) -> None:
-        self._waiting_on = None
-        if evt._exc is not None:
-            self._step(throw=evt._exc)
-        else:
-            self._step(value=evt._value)
-
-    def _step(self, value: Any = None, throw: Optional[BaseException] = None) -> None:
-        self.sim._active_process = self
+        """Advance the generator with ``evt``'s outcome, then park it on
+        the event it yields next."""
         try:
-            if throw is not None:
-                target = self._generator.throw(throw)
+            if evt._exc is None:
+                target = self._generator.send(evt._value)
             else:
-                target = self._generator.send(value)
+                target = self._generator.throw(evt._exc)
         except StopIteration as stop:
-            self.succeed(stop.value, priority=URGENT)
+            sim = self.sim
+            self._triggered = True
+            self._value = stop.value
+            heappush(sim._queue, (sim._now, URGENT, sim._seq, self))
+            sim._seq += 1
             return
         except BaseException as exc:
             if not self.callbacks:
@@ -223,25 +237,26 @@ class Process(Event):
                 return
             self.fail(exc, priority=URGENT)
             return
-        finally:
-            self.sim._active_process = None
 
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Event"
             )
-        if target.callbacks is None:
-            # Already fired: resume immediately via a zero-delay event to
-            # keep the stack shallow and ordering deterministic.
-            evt = Event(self.sim)
-            evt.callbacks.append(self._resume)
-            if target._exc is not None:
-                evt.fail(target._exc, priority=URGENT)
-            else:
-                evt.succeed(target._value, priority=URGENT)
-        else:
+        callbacks = target.callbacks
+        if callbacks is not None:
             self._waiting_on = target
-            target.callbacks.append(self._resume)
+            callbacks.append(self._resume)
+            return
+        # Already fired: resume via a zero-delay event to keep the stack
+        # shallow and ordering deterministic.
+        sim = self.sim
+        again = Event(sim)
+        again.callbacks.append(self._resume)
+        again._triggered = True
+        again._value = target._value
+        again._exc = target._exc
+        heappush(sim._queue, (sim._now, URGENT, sim._seq, again))
+        sim._seq += 1
 
 
 class _Condition(Event):
@@ -309,11 +324,11 @@ class Simulator:
         self._now = float(start)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self._crashed: Optional[BaseException] = None
-        #: Events popped and fired so far.  A plain int, always maintained:
-        #: the kernel is the hottest loop in the repo, so telemetry reads
-        #: this after the fact instead of hooking every step.
+        #: Events popped and fired so far.  A plain int, always maintained
+        #: (:meth:`run` adds its count when it returns or raises): the
+        #: kernel is the hottest loop in the repo, so telemetry reads this
+        #: after the fact instead of hooking every step.
         self.events_processed = 0
         #: Optional deterministic profiler (duck-typed against
         #: :class:`repro.obs.prof.Profiler`: ``event_begin(event)`` /
@@ -354,7 +369,7 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heappush(self._queue, (self._now + delay, priority, self._seq, event))
         self._seq += 1
 
     def _crash(self, exc: BaseException) -> None:
@@ -400,8 +415,27 @@ class Simulator:
                 self.step()
             return stop.value
         horizon = float("inf") if until is None else float(until)
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        queue = self._queue
+        if self.profiler is not None:
+            while queue and queue[0][0] <= horizon:
+                self.step()
+        else:
+            # step() inlined: this loop fires every event of a run.
+            pop = heapq.heappop
+            fired = 0
+            try:
+                while queue and queue[0][0] <= horizon:
+                    self._now, _prio, _seq, event = pop(queue)
+                    fired += 1
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    for callback in callbacks:
+                        callback(event)
+                    if self._crashed is not None:
+                        exc, self._crashed = self._crashed, None
+                        raise exc
+            finally:
+                self.events_processed += fired
         if until is not None and horizon > self._now:
             self._now = horizon
         return None

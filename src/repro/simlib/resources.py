@@ -19,6 +19,7 @@ or, with the convenience wrapper::
 from __future__ import annotations
 
 import heapq
+from heapq import heappush
 from typing import Generator, Optional
 
 from repro.simlib.kernel import URGENT, Event, SimulationError, Simulator
@@ -81,17 +82,26 @@ class Resource:
         """Ask for a slot; the returned event fires when granted."""
         usage = ResourceUsage(self, priority)
         if len(self._users) < self.capacity and not self._waiters:
+            # Uncontended grant: what usage.succeed(usage, priority=URGENT)
+            # does, pushed straight onto the heap.
             self._users.add(usage)
-            usage.succeed(usage, priority=URGENT)
+            usage._triggered = True
+            usage._value = usage
+            sim = self.sim
+            heappush(sim._queue, (sim._now, URGENT, sim._seq, usage))
+            sim._seq += 1
         else:
             self._enqueue(usage)
         return usage
 
     def release(self, usage: ResourceUsage) -> None:
         """Free a previously granted slot and wake the next waiter."""
-        if usage not in self._users:
-            raise SimulationError(f"release of non-held usage on {self.name or 'resource'}")
-        self._users.remove(usage)
+        try:
+            self._users.remove(usage)
+        except KeyError:
+            raise SimulationError(
+                f"release of non-held usage on {self.name or 'resource'}"
+            ) from None
         nxt = self._dequeue()
         if nxt is not None:
             self._users.add(nxt)

@@ -56,6 +56,25 @@ def test_isolated_transfer_matches_lmo_transport_stages_exactly():
         )
 
 
+@pytest.mark.parametrize("swap", ["degrade_node", "degrade_link", "assign"])
+def test_transfers_follow_a_swapped_ground_truth(swap):
+    """The transport reads ground-truth tables cached per GroundTruth
+    object; every way of swapping the object must reach the next transfer."""
+    cluster = quiet_cluster()
+    run_transfer(cluster, 0, 2, 4 * KB)  # warm the tables of the old object
+    if swap == "degrade_node":
+        cluster.degrade_node(0, 3.0)
+    elif swap == "degrade_link":
+        cluster.degrade_link(0, 2, latency_factor=2.0, rate_factor=0.5)
+    else:
+        cluster.ground_truth = GroundTruth.random(4, seed=9)
+    gt = cluster.ground_truth
+    cluster.reset()
+    elapsed = run_transfer(cluster, 0, 2, 4 * KB)
+    expected = gt.send_cost(0, 4 * KB) + gt.wire_time(0, 2, 4 * KB)
+    assert elapsed == pytest.approx(expected, rel=1e-12)
+
+
 def test_transfer_requires_distinct_endpoints():
     cluster = quiet_cluster()
     with pytest.raises(ValueError):

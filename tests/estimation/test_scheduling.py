@@ -54,6 +54,36 @@ def test_triplet_rounds_cover_all_rooted_triplets(n):
     assert len(seen) == len(set(seen)) == n * (n - 1) * (n - 2) // 2
 
 
+def _set_first_fit(items):
+    """The original set-based first-fit: the oracle for pack_rounds."""
+    rounds, occupied = [], []
+    for item in items:
+        nodes = set(item)
+        for round_idx, used in enumerate(occupied):
+            if not (used & nodes):
+                rounds[round_idx].append(item)
+                used |= nodes
+                break
+        else:
+            rounds.append([item])
+            occupied.append(set(nodes))
+    return rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(
+    st.lists(st.integers(0, 11), min_size=0, max_size=4).map(tuple), max_size=80
+))
+def test_pack_rounds_matches_set_based_first_fit(items):
+    assert pack_rounds(items) == _set_first_fit(items)
+
+
+def test_pack_rounds_matches_set_based_first_fit_on_the_triplet_sweep():
+    items = [triple for rnd in triplet_rounds(9) for triple in rnd]
+    items.reverse()
+    assert pack_rounds(items) == _set_first_fit(items)
+
+
 def test_pack_rounds_first_fit():
     rounds = pack_rounds([(0, 1), (2, 3), (0, 2), (1, 3)])
     assert rounds == [[(0, 1), (2, 3)], [(0, 2), (1, 3)]]

@@ -206,6 +206,35 @@ def test_unmatched_recv_raises_deadlock_error():
         run_ranks(cluster, {0: receiver})
 
 
+class _RankFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("after_messages", [0, 2])
+def test_exception_in_a_rank_surfaces_unchanged_from_run_ranks(after_messages):
+    """A rank program that dies (at its first step or mid-run) makes
+    run_ranks raise that very exception object, and detaches the
+    profiler hook as usual."""
+    cluster = quiet_cluster()
+    failure = _RankFailure("rank 1 gave up")
+
+    def sender(comm):
+        for _ in range(after_messages):
+            yield from comm.send(1, nbytes=KB, tag=1)
+        return "done"
+
+    def receiver(comm):
+        for _ in range(after_messages):
+            yield from comm.recv(0, tag=1)
+        raise failure
+        yield  # pragma: no cover - makes this a generator
+
+    with pytest.raises(_RankFailure) as caught:
+        run_ranks(cluster, {0: sender, 1: receiver})
+    assert caught.value is failure
+    assert cluster.sim.profiler is None
+
+
 def test_rendezvous_send_blocks_until_recv_posted():
     """Above the eager threshold the sender stalls until the receiver
     posts (LAM long protocol); below it the sender proceeds immediately."""

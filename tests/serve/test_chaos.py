@@ -2,6 +2,7 @@
 every fault arm, and determinism of the injected fault sequence."""
 
 import socket
+import time
 
 import pytest
 
@@ -71,6 +72,29 @@ def test_partial_arm_surfaces_as_wire_error(host):
                                timeout=10.0) as client:
                 client.health()
         assert proxy.stats.snapshot()["partials"] == 1
+
+
+_ONLY = dict(reset_rate=0.0, partial_rate=0.0, corrupt_rate=0.0,
+             stall_rate=0.0, delay_rate=0.0)
+
+
+@pytest.mark.parametrize("arm, error", [
+    ("reset_rate", ConnectionResetError),
+    ("partial_rate", protocol.WireError),
+    ("corrupt_rate", protocol.WireError),
+])
+def test_fault_arm_fails_fast_with_its_typed_error(host, arm, error):
+    """A reset, cut or corrupted reply reaches the client at once, as its
+    own error — never as the client's timeout expiring."""
+    with _proxy(host, ChaosConfig(seed=0, **{**_ONLY, arm: 1.0})) as proxy:
+        with ServiceClient(host=proxy.host, port=proxy.port,
+                           timeout=2.0) as client:
+            start = time.perf_counter()
+            with pytest.raises(error) as caught:
+                client.health()
+            elapsed = time.perf_counter() - start
+    assert not isinstance(caught.value, TimeoutError)
+    assert elapsed < 0.2, f"{arm} took {elapsed:.3f} s to surface"
 
 
 def test_corrupt_arm_is_caught_by_the_crc(host):
